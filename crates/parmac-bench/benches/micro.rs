@@ -13,9 +13,7 @@
 //! what the tests verify. Results are tracked in `BENCH_zstep.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use parmac_cluster::{
-    ClusterBackend, CostModel, PoolBackend, SimBackend, SimCluster, ThreadedBackend, ZUpdate,
-};
+use parmac_cluster::{ClusterBackend, CostModel, PoolBackend, SimBackend, SimCluster, ZUpdate};
 use parmac_core::zstep::{reference, solve_relaxed_batch, ZStepProblem, ZStepWorkspace};
 use parmac_core::SpeedupModel;
 use parmac_data::partition_equal;
@@ -139,11 +137,10 @@ fn bench_zstep_relaxed_batch(c: &mut Criterion) {
     });
 }
 
-/// Serial vs shard-parallel execution of a full Z step through the
-/// `ClusterBackend` seam: same solves, same updates, different substrate. The
-/// ratio of the two lines is the wall-clock speedup of the parallel Z step on
-/// this host (first entry of the perf trajectory).
-fn bench_zstep_serial_vs_parallel(c: &mut Criterion) {
+/// A full serial Z step through the `ClusterBackend` seam, with a fresh
+/// `ZStepProblem` per shard (first entry of the perf trajectory,
+/// `BENCH_zstep.json`).
+fn bench_zstep_serial(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(3);
     let (l, d, n, p) = (16usize, 64usize, 2000usize, 8usize);
     let decoder = LinearDecoder::new(Mat::random_normal(d, l, &mut rng), vec![0.0; d]);
@@ -171,22 +168,18 @@ fn bench_zstep_serial_vs_parallel(c: &mut Criterion) {
     c.bench_function("z step, serial sim backend (N=2000, L=16, P=8)", |b| {
         b.iter(|| SimBackend::default().run_z_step(&cluster, 2 * l, solve))
     });
-    c.bench_function(
-        "z step, parallel threaded backend (N=2000, L=16, P=8)",
-        |b| b.iter(|| ThreadedBackend::new().run_z_step(&cluster, 2 * l, solve)),
-    );
 }
 
 /// Perf-trajectory entry 3 (`BENCH_pool.json`): the same full Z step on the
-/// serial simulator, the one-thread-per-shard threaded backend and the
-/// work-stealing pool, over a *balanced* partition (P = cores regime) and an
+/// serial simulator and the work-stealing pool, over a *balanced* partition
+/// (P = cores regime) and an
 /// *imbalanced* proportional partition (the regime shard-granular threads
 /// cannot balance but chunk stealing can). All variants produce bitwise
 /// identical updates; only the substrate differs. The solve closure mirrors
 /// the trainer's current Z-step contract (one `ZStepProblem` per step, a
 /// workspace checkout pool) so the pool backend is not charged a spurious
 /// factorisation per 64-point chunk.
-fn bench_zstep_pool_vs_threaded_vs_serial(c: &mut Criterion) {
+fn bench_zstep_pool_vs_serial(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(3);
     let (l, d, n, p) = (16usize, 64usize, 2000usize, 8usize);
     let decoder = LinearDecoder::new(Mat::random_normal(d, l, &mut rng), vec![0.0; d]);
@@ -232,10 +225,6 @@ fn bench_zstep_pool_vs_threaded_vs_serial(c: &mut Criterion) {
         c.bench_function(
             &format!("z step, serial sim backend ({label}, N=2000, P=8)"),
             |b| b.iter(|| SimBackend::default().run_z_step(&cluster, 2 * l, solve)),
-        );
-        c.bench_function(
-            &format!("z step, threaded per-shard backend ({label}, N=2000, P=8)"),
-            |b| b.iter(|| ThreadedBackend::new().run_z_step(&cluster, 2 * l, solve)),
         );
         for w in [1usize, workers.max(2)] {
             c.bench_function(
@@ -374,8 +363,8 @@ criterion_group!(
     bench_zstep_exact,
     bench_zstep_alternating,
     bench_zstep_relaxed_batch,
-    bench_zstep_serial_vs_parallel,
-    bench_zstep_pool_vs_threaded_vs_serial,
+    bench_zstep_serial,
+    bench_zstep_pool_vs_serial,
     bench_wstep_within_machine,
     bench_svm_epoch,
     bench_ring_w_step,

@@ -1,5 +1,5 @@
-//! Cross-process ring benchmark and fault-injection gate
-//! (`BENCH_process_ring.json`).
+//! Cross-process ring benchmark and fault-injection gate. It prints its
+//! numbers as a JSON object on stdout; no BENCH file records them yet.
 //!
 //! Trains the same binary autoencoder on the [`SimBackend`] reference and on
 //! the [`ProcessBackend`] — real `parmac-machined` OS processes wired into a

@@ -10,24 +10,22 @@
 //! topology, machine speeds, cost model) and the algorithmic closures supplied
 //! by `parmac-core` stay backend-agnostic.
 //!
-//! Five backends ship today:
+//! Four backends ship today:
 //!
 //! * [`SimBackend`] — the deterministic synchronous-tick simulator, charging
 //!   simulated time to a [`CostModel`] (fig. 10's speedup experiments);
-//! * [`ThreadedBackend`] — real OS threads: the crossbeam ring for the W step
-//!   and one scoped thread per machine shard for the Z step. Simulated time is
-//!   still charged with the same formulas, so speedup curves remain comparable
-//!   across backends;
 //! * [`PoolBackend`](crate::pool::PoolBackend) — a hand-rolled work-stealing
 //!   thread pool (§8.5's shared-memory configuration): the Z step splits every
 //!   shard into point chunks any worker can steal, the W step drains each
 //!   machine's submodel queue across the local workers;
-//! * [`ServerBackend`](crate::server::ServerBackend) — machines as long-lived
-//!   actors behind typed crossbeam mailboxes ([`MachineMsg`]): the W step
-//!   routes [`SubmodelEnvelope`] hops by the envelope's own visit list, the Z
-//!   step is a `ZStepRequest`/reply exchange, and the resident serving fleet
-//!   answers Hamming k-NN queries (via
-//!   [`QueryRouter`](crate::server::QueryRouter)) *while* training runs;
+//! * [`ServerBackend`](crate::server::ServerBackend) — real OS threads: the
+//!   in-process crossbeam ring of [`threaded`](crate::threaded) for the W
+//!   step and one scoped thread per machine shard for the Z step, plus a
+//!   resident serving fleet of machine actors behind typed mailboxes
+//!   ([`MachineMsg`]) that answers Hamming k-NN queries (via
+//!   [`QueryRouter`](crate::server::QueryRouter)) *while* training runs.
+//!   Simulated time is still charged with the same formulas, so speedup
+//!   curves remain comparable across backends;
 //! * [`ProcessBackend`](crate::process::ProcessBackend) — machines as real OS
 //!   processes (`parmac-machined` workers) connected by Unix-domain sockets:
 //!   the coordinator sequences submodel updates exactly once while the worker
@@ -35,7 +33,6 @@
 //!   the step routes around.
 //!
 //! [`MachineMsg`]: crate::server::MachineMsg
-//! [`SubmodelEnvelope`]: crate::envelope::SubmodelEnvelope
 //!
 //! The Z step uses a *collect-then-apply* contract: the solve closure returns
 //! the changed codes per shard as [`ZUpdate`]s instead of mutating shared
@@ -50,8 +47,6 @@
 
 use crate::cost::{CostModel, StepTimings, WStepStats, ZStepStats};
 use crate::sim::{Fault, SimCluster};
-use crate::threaded::run_w_step_threaded;
-use std::thread;
 use std::time::Instant;
 
 /// A new binary code for one data point, produced by a Z-step solve.
@@ -229,130 +224,6 @@ impl ClusterBackend for SimBackend {
     }
 }
 
-/// The real-thread backend: one OS thread per machine.
-///
-/// The W step runs the asynchronous crossbeam ring of §4.1; the Z step spawns
-/// one scoped thread per machine shard (the paper's "the Z step is
-/// embarrassingly parallel": no communication, disjoint shards). Simulated
-/// time is charged with the same cost formulas as [`SimBackend`] so that
-/// fig-10-style speedup curves cover both steps on either backend; wall-clock
-/// time additionally reflects true parallelism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreadedBackend {
-    cost: CostModel,
-    parallel_z: bool,
-}
-
-impl ThreadedBackend {
-    /// A threaded backend with the distributed cost preset and the parallel Z
-    /// step enabled.
-    pub fn new() -> Self {
-        ThreadedBackend {
-            cost: CostModel::distributed(),
-            parallel_z: true,
-        }
-    }
-
-    /// Overrides the cost model a trainer built on this backend seeds its
-    /// cluster with (the cluster is authoritative at execution time; see
-    /// [`ClusterBackend::cost_model`]).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Enables or disables the shard-parallel Z step (serial fallback; the
-    /// results are bitwise identical either way, see the equivalence tests).
-    pub fn with_parallel_z(mut self, on: bool) -> Self {
-        self.parallel_z = on;
-        self
-    }
-
-    /// Whether the Z step runs one thread per shard.
-    pub fn parallel_z(&self) -> bool {
-        self.parallel_z
-    }
-}
-
-impl Default for ThreadedBackend {
-    fn default() -> Self {
-        ThreadedBackend::new()
-    }
-}
-
-impl ClusterBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    fn run_w_step<S, F>(
-        &self,
-        cluster: &SimCluster,
-        submodels: Vec<S>,
-        epochs: usize,
-        params_per_submodel: usize,
-        update: F,
-        _fault: Option<Fault>,
-    ) -> (Vec<S>, WStepStats)
-    where
-        S: Send,
-        F: Fn(&mut S, usize, &[usize]) + Sync,
-    {
-        // Borrow the shards (the W step reads them concurrently but never
-        // mutates them): P slice pointers instead of an O(N) copy per step.
-        let shards: Vec<&[usize]> = (0..cluster.n_machines())
-            .map(|p| cluster.shard(p))
-            .collect();
-        run_w_step_threaded(
-            submodels,
-            &shards,
-            cluster.topology(),
-            epochs,
-            params_per_submodel,
-            update,
-        )
-    }
-
-    fn run_z_step<F>(
-        &self,
-        cluster: &SimCluster,
-        n_submodels: usize,
-        solve: F,
-    ) -> (Vec<ZUpdate>, ZStepStats)
-    where
-        F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
-    {
-        let start = Instant::now();
-        let machines = cluster.topology().machines();
-        let per_machine: Vec<Vec<ZUpdate>> = if self.parallel_z && machines.len() > 1 {
-            thread::scope(|scope| {
-                let handles: Vec<_> = machines
-                    .iter()
-                    .map(|&machine| {
-                        let solve = &solve;
-                        scope.spawn(move || solve(machine, cluster.shard(machine)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("Z-step shard thread panicked"))
-                    .collect()
-            })
-        } else {
-            machines
-                .iter()
-                .map(|&machine| solve(machine, cluster.shard(machine)))
-                .collect()
-        };
-        let updates: Vec<ZUpdate> = per_machine.into_iter().flatten().collect();
-        (updates, z_stats(cluster, n_submodels, start))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,16 +253,16 @@ mod tests {
         let cost = CostModel::new(1.0, 10.0, 5.0);
         let cluster = SimCluster::new(shards(4, 40), cost);
         let sim = SimBackend::new(cost);
-        let threaded = ThreadedBackend::new().with_cost_model(cost);
+        let server = crate::server::ServerBackend::new().with_cost_model(cost);
         let pool = crate::pool::PoolBackend::new()
             .with_workers(3)
             .with_chunk_size(4)
             .with_cost_model(cost);
         let (u_sim, s_sim) = sim.run_z_step(&cluster, 8, toggle_solve);
-        let (u_thr, s_thr) = threaded.run_z_step(&cluster, 8, toggle_solve);
+        let (u_srv, s_srv) = server.run_z_step(&cluster, 8, toggle_solve);
         let (u_pool, s_pool) = pool.run_z_step(&cluster, 8, toggle_solve);
         assert_eq!(
-            u_sim, u_thr,
+            u_sim, u_srv,
             "parallel Z must be bitwise identical to serial"
         );
         assert_eq!(
@@ -399,29 +270,17 @@ mod tests {
             "work-stealing Z must be bitwise identical to serial"
         );
         assert_eq!(s_sim.points_updated, 40);
-        assert_eq!(s_sim.points_updated, s_thr.points_updated);
+        assert_eq!(s_sim.points_updated, s_srv.points_updated);
         assert_eq!(s_sim.points_updated, s_pool.points_updated);
-        assert_eq!(s_sim.timings.simulated, s_thr.timings.simulated);
+        assert_eq!(s_sim.timings.simulated, s_srv.timings.simulated);
         assert_eq!(s_sim.timings.simulated, s_pool.timings.simulated);
-    }
-
-    #[test]
-    fn threaded_serial_z_fallback_matches_parallel() {
-        let cluster = SimCluster::new(shards(3, 30), CostModel::distributed());
-        let parallel = ThreadedBackend::new();
-        let serial = ThreadedBackend::new().with_parallel_z(false);
-        assert!(parallel.parallel_z() && !serial.parallel_z());
-        let (u_par, _) = parallel.run_z_step(&cluster, 4, toggle_solve);
-        let (u_ser, _) = serial.run_z_step(&cluster, 4, toggle_solve);
-        assert_eq!(u_par, u_ser);
     }
 
     #[test]
     fn z_updates_arrive_in_topology_order() {
         let mut cluster = SimCluster::new(shards(4, 16), CostModel::distributed());
         cluster.set_topology(crate::topology::RingTopology::from_order(vec![2, 0, 3, 1]));
-        let backend = ThreadedBackend::new();
-        let (updates, _) = backend.run_z_step(&cluster, 2, |machine, shard| {
+        let per_machine = crate::threaded::run_z_step_threaded(&cluster, |machine, shard| {
             shard
                 .iter()
                 .map(|&n| ZUpdate {
@@ -430,12 +289,9 @@ mod tests {
                 })
                 .collect()
         });
-        let machine_order: Vec<usize> = updates
+        let machine_order: Vec<usize> = per_machine
             .iter()
-            .map(|u| u.code[0] as usize)
-            .collect::<Vec<_>>()
-            .chunks(4)
-            .map(|c| c[0])
+            .map(|updates| updates[0].code[0] as usize)
             .collect();
         assert_eq!(machine_order, vec![2, 0, 3, 1]);
     }
@@ -456,8 +312,8 @@ mod tests {
                 ),
             ),
             (
-                "threaded",
-                ThreadedBackend::new().run_w_step(
+                "server",
+                crate::server::ServerBackend::new().run_w_step(
                     &cluster,
                     vec![0usize; 5],
                     2,
@@ -487,14 +343,20 @@ mod tests {
     fn w_step_stats_are_identical_across_backends() {
         // The canonical message count is ring_hops(M, P, e); the simulator
         // counts hops dynamically and must agree with the closed form used by
-        // the threaded and pool backends (no-fault case), byte-for-byte.
+        // the server and pool backends (no-fault case), byte-for-byte.
         let (m, p, e, params) = (5usize, 4usize, 3usize, 7usize);
         let cluster = SimCluster::new(shards(p, 40), CostModel::distributed());
         let noop = |_: &mut (), _: usize, _: &[usize]| {};
         let (_, s_sim) =
             SimBackend::default().run_w_step(&cluster, vec![(); m], e, params, noop, None);
-        let (_, s_thr) =
-            ThreadedBackend::new().run_w_step(&cluster, vec![(); m], e, params, noop, None);
+        let (_, s_srv) = crate::server::ServerBackend::new().run_w_step(
+            &cluster,
+            vec![(); m],
+            e,
+            params,
+            noop,
+            None,
+        );
         let (_, s_pool) = crate::pool::PoolBackend::new().with_workers(2).run_w_step(
             &cluster,
             vec![(); m],
@@ -504,7 +366,7 @@ mod tests {
             None,
         );
         let expected = crate::cost::ring_hops(m, p, e);
-        for (name, stats) in [("sim", s_sim), ("threaded", s_thr), ("pool", s_pool)] {
+        for (name, stats) in [("sim", s_sim), ("server", s_srv), ("pool", s_pool)] {
             assert_eq!(stats.messages_sent, expected, "{name} messages");
             assert_eq!(
                 stats.bytes_sent,
@@ -520,8 +382,8 @@ mod tests {
         let sim = SimBackend::new(CostModel::shared_memory());
         assert_eq!(sim.name(), "sim");
         assert_eq!(sim.cost_model(), CostModel::shared_memory());
-        let thr = ThreadedBackend::new();
-        assert_eq!(thr.name(), "threaded");
-        assert_eq!(thr.cost_model(), CostModel::distributed());
+        let server = crate::server::ServerBackend::new();
+        assert_eq!(server.name(), "server");
+        assert_eq!(server.cost_model(), CostModel::distributed());
     }
 }

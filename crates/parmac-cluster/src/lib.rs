@@ -11,22 +11,22 @@
 //!   [`CostModel`] (the same `t_r^W`, `t_c^W`, `t_r^Z` quantities the paper's
 //!   speedup model uses), so simulated speedup curves can be compared with the
 //!   theoretical prediction (fig. 10). Fault injection (§4.3) is supported.
-//! * [`threaded`] — a **real multi-threaded backend**: one OS thread per
-//!   machine, crossbeam channels as the unidirectional ring network, and the
-//!   asynchronous queue-per-machine protocol described in §4.1 (each submodel
-//!   carries a visit counter; a final communication-only lap distributes the
-//!   finished submodels).
+//! * [`threaded`] — the **in-process ring on real threads**: one OS thread
+//!   per machine, crossbeam channels as the unidirectional ring network, and
+//!   the asynchronous queue-per-machine protocol described in §4.1 (each
+//!   submodel carries a visit counter; a final communication-only lap
+//!   distributes the finished submodels), plus the shard-parallel Z step.
+//!   [`server`] trains through it.
 //! * [`pool`] — a **work-stealing thread-pool backend** (the paper's
 //!   shared-memory configuration, §8.5): the Z step splits shards into point
 //!   chunks any worker can steal, the W step trains the submodels queued at
 //!   one machine concurrently on the local workers. Results stay bitwise
 //!   identical to the simulator's.
-//! * [`server`] — a **sharded-server backend**: machines as long-lived actors
-//!   behind typed crossbeam mailboxes, W-step envelopes routed by their own
-//!   visit lists (§4.3), the Z step as request/reply exchanges, and a
-//!   resident serving fleet answering Hamming k-NN queries *during* training
-//!   through a [`QueryRouter`] — training and retrieval from the same
-//!   processes. The fleet is replicated and self-healing: a replication
+//! * [`server`] — a **sharded-server backend**: training on the [`threaded`]
+//!   ring, and a resident serving fleet of long-lived machine actors behind
+//!   typed crossbeam mailboxes answering Hamming k-NN queries *during*
+//!   training through a [`QueryRouter`] — training and retrieval from the
+//!   same process. The fleet is replicated and self-healing: a replication
 //!   factor places each shard on several machines, the router fails over
 //!   across live replicas under a bounded deadline, answers carry explicit
 //!   coverage, and a health-tracker-driven rebalancer re-replicates shards
@@ -58,6 +58,7 @@ pub mod cost;
 pub mod envelope;
 pub mod pool;
 pub mod process;
+pub(crate) mod replica;
 pub mod server;
 pub mod sim;
 pub mod streaming;
@@ -66,7 +67,7 @@ pub mod topology;
 pub(crate) mod waits;
 pub mod wire;
 
-pub use backend::{ClusterBackend, SimBackend, ThreadedBackend, ZUpdate};
+pub use backend::{ClusterBackend, SimBackend, ZUpdate};
 pub use cost::{ring_hops, CostModel, StepTimings, WStepStats, ZStepStats};
 pub use envelope::SubmodelEnvelope;
 pub use pool::PoolBackend;
@@ -74,7 +75,6 @@ pub use process::{FleetLauncher, MachineDown, MachineDownReason, ProcessBackend,
 pub use server::{
     AdmissionConfig, AdmissionError, Coverage, FleetStatus, KnnResponse, MachineMsg, Query,
     QueryReply, QueryRouter, ReplicationConfig, ServerBackend, ServingStats, ShardHits,
-    ZShardUpdates, ZStepRequest,
 };
 pub use sim::{Fault, SimCluster};
 pub use threaded::run_w_step_threaded;

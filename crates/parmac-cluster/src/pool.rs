@@ -3,7 +3,7 @@
 //! The paper's shared-memory runs execute the very same ring protocol with
 //! all "machines" being cores of one box. Two structural consequences, both
 //! implemented here and neither available to the one-thread-per-machine
-//! [`ThreadedBackend`](crate::backend::ThreadedBackend):
+//! ring of [`threaded`](crate::threaded):
 //!
 //! * **The Z step is embarrassingly parallel at *point* granularity**, not
 //!   shard granularity: when `P ≪ cores` or the shards are imbalanced

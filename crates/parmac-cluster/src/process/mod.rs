@@ -103,7 +103,7 @@ struct Inner {
 /// the server backend's `kill_machine` pattern. The fleet is spawned lazily
 /// on first use and shut down when the last clone drops.
 ///
-/// Like the threaded and server backends, the simulator-only
+/// Like the server and pool backends, the simulator-only
 /// [`Fault`](crate::sim::Fault) plan is ignored: real faults are injected
 /// with [`kill_process`](Self::kill_process) (or an actual `kill -9`).
 #[derive(Clone)]

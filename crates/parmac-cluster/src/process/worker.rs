@@ -24,8 +24,8 @@ use std::time::Duration;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parmac_hash::BinaryCodes;
 
-use crate::backend::ZUpdate;
 use crate::envelope::SubmodelEnvelope;
+use crate::replica::ShardReplica;
 use crate::waits;
 
 use super::frames::Frame;
@@ -45,28 +45,6 @@ struct RoundState {
     round: u64,
     epochs: usize,
     ring: Vec<usize>,
-}
-
-/// The worker's resident shard: the same replica structure the in-process
-/// server backend keeps, fed by `LoadShard` snapshots and `ApplyZ` streams.
-struct ShardReplica {
-    points: Vec<usize>,
-    row_of: HashMap<usize, usize>,
-    codes: BinaryCodes,
-    seq: u64,
-}
-
-impl ShardReplica {
-    fn apply(&mut self, update: &ZUpdate) {
-        match self.row_of.get(&update.point) {
-            Some(&row) => self.codes.set_code(row, &update.code),
-            None => {
-                self.row_of.insert(update.point, self.points.len());
-                self.points.push(update.point);
-                self.codes.push_code(&update.code);
-            }
-        }
-    }
 }
 
 struct WorkerCtx {
@@ -232,13 +210,7 @@ fn handle_frame(ctx: &mut WorkerCtx, frame: Frame) -> Option<i32> {
         Frame::LoadShard { points, codes, seq } => {
             let newer = ctx.replica.as_ref().is_none_or(|r| seq > r.seq);
             if newer {
-                let row_of = points.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-                ctx.replica = Some(ShardReplica {
-                    points,
-                    row_of,
-                    codes,
-                    seq,
-                });
+                ctx.replica = Some(ShardReplica::new(points, codes, seq));
             }
         }
         Frame::ApplyZ { round, updates } => {
@@ -246,12 +218,7 @@ fn handle_frame(ctx: &mut WorkerCtx, frame: Frame) -> Option<i32> {
             // delta bootstraps an (initially empty) replica.
             if ctx.replica.is_none() {
                 if let Some(first) = updates.first() {
-                    ctx.replica = Some(ShardReplica {
-                        points: Vec::new(),
-                        row_of: HashMap::new(),
-                        codes: BinaryCodes::zeros(0, first.code.len().max(1)),
-                        seq: 0,
-                    });
+                    ctx.replica = Some(ShardReplica::empty(first.code.len()));
                 }
             }
             if let Some(replica) = ctx.replica.as_mut() {
@@ -269,7 +236,7 @@ fn handle_frame(ctx: &mut WorkerCtx, frame: Frame) -> Option<i32> {
         }
         Frame::FetchShard => {
             let (points, codes, seq) = match &ctx.replica {
-                Some(replica) => (replica.points.clone(), replica.codes.clone(), replica.seq),
+                Some(replica) => replica.snapshot(),
                 None => (Vec::new(), BinaryCodes::zeros(0, 1), 0),
             };
             reply_coord(

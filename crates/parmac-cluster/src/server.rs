@@ -8,17 +8,13 @@
 //! behind a typed crossbeam mailbox ([`MachineMsg`]), and the same machine
 //! identity serves three kinds of traffic:
 //!
-//! * **W step** — [`SubmodelEnvelope`] hops around the ring. Routing is
-//!   driven by the envelope's *own visit list* (`pending_machines`), not a
-//!   hardcoded successor walk: a machine that is not on the list (it faulted
-//!   out via [`SubmodelEnvelope::handle_fault`], or was already visited this
-//!   epoch) relays the envelope unchanged towards the next pending machine.
-//!   This is §4.3's general mechanism, and it is what lets streaming
-//!   `add_machine`/`remove_machine` and fault recovery work mid-training.
-//! * **Z step** — a [`ZStepRequest`]/reply exchange: each machine solves its
-//!   own shard and answers with the changed codes ([`ZShardUpdates`]), which
-//!   are applied in deterministic topology order — bitwise identical to
-//!   [`SimBackend`](crate::backend::SimBackend).
+//! * **W step** — submodel envelopes hop around the in-process crossbeam
+//!   ring of [`run_w_step_threaded`], one scoped thread per machine.
+//! * **Z step** — [`run_z_step_threaded`] solves each machine's shard on its
+//!   own scoped thread; the changed codes are applied in deterministic
+//!   topology order — bitwise identical to
+//!   [`SimBackend`](crate::backend::SimBackend) — and published to every
+//!   replica of the shard, so the serving fleet stays fresh.
 //! * **Retrieval** — [`Query`]/[`QueryReply`]: the resident serving fleet
 //!   owns a copy of each shard's binary codes and answers Hamming k-NN
 //!   queries *while training runs*. [`QueryRouter`] fans a query batch out to
@@ -62,7 +58,7 @@
 //! The *serving fleet* is genuinely long-lived: one detached thread per
 //! machine, spawned on first [`publish_codes`] and kept until the backend is
 //! dropped (the drop path is bounded: a wedged actor is abandoned after a
-//! grace period, never joined forever). The *step protocol* runs on scoped
+//! grace period, never joined forever). The *training steps* run on scoped
 //! per-machine threads inside `run_w_step` / `run_z_step`. Both populations
 //! share machine ids and shard layout — one process, training and serving
 //! concurrently.
@@ -74,15 +70,16 @@
 //! [`publish_codes`]: crate::backend::ClusterBackend::publish_codes
 
 use crate::backend::{z_stats, ClusterBackend, ZUpdate};
-use crate::cost::{ring_hops, CostModel, StepTimings, WStepStats, ZStepStats};
-use crate::envelope::SubmodelEnvelope;
+use crate::cost::{CostModel, WStepStats, ZStepStats};
+use crate::replica::ShardReplica;
 use crate::sim::{Fault, SimCluster};
+use crate::threaded::{run_w_step_threaded, run_z_step_threaded};
 use crate::waits;
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use parmac_hash::BinaryCodes;
 use parmac_retrieval::{merge_shard_topk, PrefixIndex};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
@@ -247,35 +244,10 @@ pub struct QueryReply {
     pub missing: Vec<usize>,
 }
 
-/// A Z-step work order: "solve your shard, reply with the changed codes".
-pub struct ZStepRequest {
-    /// Where the machine sends its [`ZShardUpdates`].
-    pub reply: Sender<ZShardUpdates>,
-}
-
-/// One machine's answer to a [`ZStepRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZShardUpdates {
-    /// The machine whose shard was solved.
-    pub machine: usize,
-    /// The changed codes, in shard order.
-    pub updates: Vec<ZUpdate>,
-}
-
-/// The typed mailbox protocol of a ParMAC server machine. `S` is the
-/// circulating submodel type (the serving fleet instantiates it at `()`).
+/// The typed mailbox protocol of a ParMAC serving machine.
 // lint: wire-protocol — every variant must be codec'd, declared tag-only,
 // or explicitly local-only (checked by the wire-symmetry pass).
-pub enum MachineMsg<S> {
-    /// W step: a submodel envelope hopping the ring. The step protocol runs
-    /// on scoped in-process actors (the serving loop ignores it), so the
-    /// envelope never crosses the serving wire.
-    // lint: local-only — scoped step protocol, not a serving-wire message
-    Envelope(SubmodelEnvelope<S>),
-    /// Z step: solve the local shard and reply. Same scoped step protocol
-    /// as `Envelope`; the reply channel is in-process.
-    // lint: local-only — scoped step protocol, not a serving-wire message
-    ZStepRequest(ZStepRequest),
+pub enum MachineMsg {
     /// Retrieval: answer a Hamming k-NN query from the requested shards.
     /// Crosses the wire as [`WireQuery`](crate::wire::WireQuery); the reply
     /// channel is transport-level routing.
@@ -425,44 +397,22 @@ impl Drop for ScanPool {
     }
 }
 
-/// One hosted replica of a shard: the multi-probe index the actor serves
-/// from, plus the materialised `(points, codes)` pair so the shard can be
-/// donated to an under-replicated peer (`FetchShard`) without reverse-
-/// engineering the index. `row_of` maps global point id → row, so an update
-/// to an existing point rewrites its row instead of appending.
-struct ReplicaShard {
-    points: Vec<usize>,
-    codes: BinaryCodes,
-    row_of: HashMap<usize, usize>,
+/// One hosted replica of a shard: its codes plus the multi-probe index the
+/// actor serves from.
+struct HostedShard {
+    replica: ShardReplica,
     index: Arc<PrefixIndex>,
-    /// Publish stamp of the authoritative data this replica derives from
-    /// (0 = created by the streaming path, before any full publish).
-    seq: u64,
 }
 
-impl ReplicaShard {
+impl HostedShard {
     // lint: actor-region — replica maintenance runs on serving-actor threads
-    fn build(points: Vec<usize>, codes: BinaryCodes, seq: u64) -> Self {
-        let index = Arc::new(PrefixIndex::build(&codes, &points));
-        let row_of = points.iter().enumerate().map(|(r, &p)| (p, r)).collect();
-        ReplicaShard {
-            points,
-            codes,
-            row_of,
-            index,
-            seq,
-        }
+    fn build(replica: ShardReplica) -> Self {
+        let index = Arc::new(PrefixIndex::build(&replica.codes, &replica.points));
+        HostedShard { replica, index }
     }
 
     fn apply(&mut self, update: &ZUpdate) {
-        match self.row_of.get(&update.point) {
-            Some(&row) => self.codes.set_code(row, &update.code),
-            None => {
-                self.row_of.insert(update.point, self.points.len());
-                self.points.push(update.point);
-                self.codes.push_code(&update.code);
-            }
-        }
+        self.replica.apply(update);
         // Same-prefix updates rewrite their bucket row; bucket-moving ones
         // ride the index's delta region until it recompacts, so a Z step
         // costs per-update work, not a rebuild. `make_mut` copies only in
@@ -481,7 +431,7 @@ impl ReplicaShard {
 /// the donor's bytes.
 struct MachineState {
     machine: usize,
-    shards: BTreeMap<usize, ReplicaShard>,
+    shards: BTreeMap<usize, HostedShard>,
     expecting: BTreeSet<usize>,
     pending: BTreeMap<usize, Vec<ZUpdate>>,
     /// How many scan workers split this machine's query batches (1 = serial).
@@ -497,12 +447,12 @@ impl MachineState {
         // A newer authoritative publish already landed: the snapshot is
         // stale, and installing it would roll the shard back. The install
         // attempt is over either way, so drop its protocol state too.
-        if self.shards.get(&shard).is_some_and(|r| r.seq > seq) {
+        if self.shards.get(&shard).is_some_and(|r| r.replica.seq > seq) {
             self.expecting.remove(&shard);
             self.pending.remove(&shard);
             return;
         }
-        let mut replica = ReplicaShard::build(points, codes, seq);
+        let mut replica = HostedShard::build(ShardReplica::new(points, codes, seq));
         if let Some(stash) = self.pending.remove(&shard) {
             // Replay updates that raced the snapshot fetch. Stale
             // re-applications (updates the donor already folded into the
@@ -526,8 +476,8 @@ impl MachineState {
             // Legacy incremental path: updates to a shard this machine never
             // loaded create it from scratch (streaming `publish_point_codes`
             // to a brand-new machine).
-            let width = updates.first().map_or(1, |u| u.code.len().max(1));
-            let mut replica = ReplicaShard::build(Vec::new(), BinaryCodes::zeros(0, width), 0);
+            let width = updates.first().map_or(1, |u| u.code.len());
+            let mut replica = HostedShard::build(ShardReplica::empty(width));
             for update in &updates {
                 replica.apply(update);
             }
@@ -664,10 +614,8 @@ fn scan_index(
 }
 
 /// The long-lived serving actor loop: retrieval, shard placement and the
-/// replica-installation protocol until `Shutdown`. Step messages never reach
-/// this loop (the step protocol runs on the scoped per-step actors), so they
-/// are ignored defensively.
-fn serving_actor(machine: usize, rx: Receiver<MachineMsg<()>>, scan_workers: usize) {
+/// replica-installation protocol until `Shutdown`.
+fn serving_actor(machine: usize, rx: Receiver<MachineMsg>, scan_workers: usize) {
     let mut state = MachineState {
         machine,
         shards: BTreeMap::new(),
@@ -694,13 +642,16 @@ fn serving_actor(machine: usize, rx: Receiver<MachineMsg<()>>, scan_workers: usi
             } => {
                 // Authoritative for its seq: a load that raced a newer
                 // publish must not roll the shard back.
-                if state.shards.get(&shard).is_none_or(|r| r.seq <= seq) {
+                if state
+                    .shards
+                    .get(&shard)
+                    .is_none_or(|r| r.replica.seq <= seq)
+                {
                     // Discard any in-flight install state.
                     state.pending.remove(&shard);
                     state.expecting.remove(&shard);
-                    state
-                        .shards
-                        .insert(shard, ReplicaShard::build(points, codes, seq));
+                    let replica = ShardReplica::new(points, codes, seq);
+                    state.shards.insert(shard, HostedShard::build(replica));
                 }
             }
             MachineMsg::InstallReplica {
@@ -721,10 +672,7 @@ fn serving_actor(machine: usize, rx: Receiver<MachineMsg<()>>, scan_workers: usi
             }
             MachineMsg::ApplyUpdates { shard, updates } => state.apply_updates(shard, updates),
             MachineMsg::FetchShard { shard, reply } => {
-                let snapshot = state
-                    .shards
-                    .get(&shard)
-                    .map(|r| (r.points.clone(), r.codes.clone(), r.seq));
+                let snapshot = state.shards.get(&shard).map(|r| r.replica.snapshot());
                 let _ = reply.send(snapshot);
             }
             MachineMsg::Ping { reply } => {
@@ -732,13 +680,12 @@ fn serving_actor(machine: usize, rx: Receiver<MachineMsg<()>>, scan_workers: usi
             }
             MachineMsg::Wedge(duration) => thread::sleep(duration),
             MachineMsg::Shutdown => break,
-            MachineMsg::Envelope(_) | MachineMsg::ZStepRequest(_) => {}
         }
     }
 }
 
 struct MachineHandle {
-    tx: Sender<MachineMsg<()>>,
+    tx: Sender<MachineMsg>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -890,7 +837,7 @@ impl Fleet {
     /// Sends `msg` to `machine`, spawning its actor on first contact. Only
     /// the *publish* paths use this: an authoritative `LoadShard` (or the
     /// legacy streaming path) legitimately brings a machine into existence.
-    fn send_spawning(&self, machine: usize, msg: MachineMsg<()>) {
+    fn send_spawning(&self, machine: usize, msg: MachineMsg) {
         // Clone the mailbox sender inside the guard scope, send after: an
         // actor blocked on a full downstream channel must never be able to
         // wedge a thread that is holding the machine-table lock.
@@ -908,7 +855,7 @@ impl Fleet {
     /// Sends `msg` to `machine` only if its actor exists. The query/update
     /// fan-outs use this: a killed machine must *not* be resurrected as an
     /// empty actor that would serve partial shards as complete.
-    fn send_if_resident(&self, machine: usize, msg: MachineMsg<()>) -> Result<(), ()> {
+    fn send_if_resident(&self, machine: usize, msg: MachineMsg) -> Result<(), ()> {
         // Same guard discipline as `send_spawning`: never send while holding
         // the machine-table lock.
         let tx = {
@@ -2213,15 +2160,11 @@ impl ClusterBackend for ServerBackend {
         self.fleet.publish_shard_updates(machine, updates);
     }
 
-    /// The asynchronous ring of §4.1 with §4.3's list-driven routing: every
-    /// hop delivers the envelope to the scoped actor of the next machine;
-    /// machines not on the envelope's visit list relay it unchanged. In the
-    /// fault-free case every machine is always on the list, so the visit
-    /// sequence — and therefore the trained weights — are bitwise identical
-    /// to the other backends. Fault *injection* plans are ignored like on the
-    /// other real-thread backends (pre-faulted envelopes are exercised by the
-    /// unit tests instead); `messages_sent` is the canonical [`ring_hops`]
-    /// count plus any relay hops.
+    /// The asynchronous ring of §4.1 ([`run_w_step_threaded`]) over the
+    /// cluster's shards, borrowed rather than copied. Every submodel visits
+    /// machines in the same order as on the other backends, so the trained
+    /// weights are bitwise identical. Fault *injection* plans are ignored
+    /// like on the other real-thread backends.
     fn run_w_step<S, F>(
         &self,
         cluster: &SimCluster,
@@ -2235,116 +2178,21 @@ impl ClusterBackend for ServerBackend {
         S: Send,
         F: Fn(&mut S, usize, &[usize]) + Sync,
     {
-        assert!(epochs > 0, "need at least one epoch");
-        let start = Instant::now();
-        let machines = cluster.topology().machines().to_vec();
-        let p = machines.len();
-        let m_total = submodels.len();
-        if m_total == 0 {
-            return (
-                submodels,
-                WStepStats {
-                    timings: StepTimings::default().with_wall_clock(start.elapsed()),
-                    ..WStepStats::default()
-                },
-            );
-        }
-
-        let mut senders: Vec<Sender<MachineMsg<S>>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Option<Receiver<MachineMsg<S>>>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let (done_tx, done_rx) = unbounded::<SubmodelEnvelope<S>>();
-
-        // Seed each machine's mailbox with its portion of the submodels
-        // (round robin by ring position, as in fig. 2).
-        for (idx, sub) in submodels.into_iter().enumerate() {
-            let env = SubmodelEnvelope::new(idx, sub, &machines);
-            senders[idx % p]
-                .send(MachineMsg::Envelope(env))
-                .expect("seed send");
-        }
-
-        let update_visits = AtomicUsize::new(0);
-        let relayed = AtomicUsize::new(0);
-
-        let finished = thread::scope(|scope| {
-            for (pos, &machine) in machines.iter().enumerate() {
-                let rx = receivers[pos].take().expect("receiver taken once");
-                let next_tx = senders[(pos + 1) % p].clone();
-                let done_tx = done_tx.clone();
-                let shard = cluster.shard(machine);
-                let update = &update;
-                let machines_ref = &machines;
-                let update_visits = &update_visits;
-                let relayed = &relayed;
-                scope.spawn(move || {
-                    while let Ok(msg) = waits::recv_bounded(&rx, waits::IDLE_TICK) {
-                        let mut env = match msg {
-                            MachineMsg::Shutdown => break,
-                            MachineMsg::Envelope(env) => env,
-                            // Step mailboxes carry only envelopes; the other
-                            // message kinds belong to the serving fleet.
-                            _ => continue,
-                        };
-                        if !env.should_process_at(machine, epochs) {
-                            // §4.3 routing: not on the visit list (already
-                            // visited this epoch, or faulted out) — relay the
-                            // envelope unchanged towards the next pending
-                            // machine.
-                            relayed.fetch_add(1, Ordering::Relaxed);
-                            next_tx.send(MachineMsg::Envelope(env)).expect("ring alive");
-                            continue;
-                        }
-                        if env.record_visit(machine, machines_ref, epochs) {
-                            update(&mut env.payload, machine, shard);
-                            update_visits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if env.is_finished(p, epochs) {
-                            done_tx.send(env).expect("collector alive");
-                        } else {
-                            next_tx.send(MachineMsg::Envelope(env)).expect("ring alive");
-                        }
-                    }
-                });
-            }
-
-            // Collector: once every submodel has finished, shut the ring down.
-            let mut finished: Vec<Option<S>> = (0..m_total).map(|_| None).collect();
-            for _ in 0..m_total {
-                // Heartbeat-bounded: these are scoped step threads, so a
-                // panic here re-raises at scope join (unlike the detached
-                // serving actors, which must never panic).
-                let env = waits::recv_bounded(&done_rx, waits::IDLE_TICK)
-                    .expect("all submodels eventually finish");
-                finished[env.submodel_id] = Some(env.payload);
-            }
-            for tx in &senders {
-                let _ = tx.send(MachineMsg::Shutdown);
-            }
-            finished
-        });
-
-        let result: Vec<S> = finished
-            .into_iter()
-            .map(|s| s.expect("every submodel collected"))
+        let shards: Vec<&[usize]> = (0..cluster.n_machines())
+            .map(|p| cluster.shard(p))
             .collect();
-        let msgs = ring_hops(m_total, p, epochs) + relayed.load(Ordering::Relaxed);
-        let stats = WStepStats {
-            timings: StepTimings::default().with_wall_clock(start.elapsed()),
-            messages_sent: msgs,
-            bytes_sent: msgs * params_per_submodel * std::mem::size_of::<f64>(),
-            update_visits: update_visits.load(Ordering::Relaxed),
-        };
-        (result, stats)
+        run_w_step_threaded(
+            submodels,
+            &shards,
+            cluster.topology(),
+            epochs,
+            params_per_submodel,
+            update,
+        )
     }
 
-    /// The Z step as a request/reply exchange: every machine actor receives a
-    /// [`ZStepRequest`], solves its own shard, and answers with its
-    /// [`ZShardUpdates`]. Replies are assembled in topology order (bitwise
+    /// The shard-parallel Z step ([`run_z_step_threaded`]): one scoped
+    /// thread per machine, updates assembled in topology order (bitwise
     /// identical to the serial sweep) and mirrored into the serving fleet —
     /// to *every* replica of each shard — so concurrent queries see the
     /// freshest codes whichever replica answers them.
@@ -2358,49 +2206,9 @@ impl ClusterBackend for ServerBackend {
         F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
     {
         let start = Instant::now();
-        let machines = cluster.topology().machines().to_vec();
-        let (reply_tx, reply_rx) = unbounded::<ZShardUpdates>();
-
-        thread::scope(|scope| {
-            for &machine in &machines {
-                let (tx, rx) = unbounded::<MachineMsg<()>>();
-                let solve = &solve;
-                let shard = cluster.shard(machine);
-                scope.spawn(move || {
-                    while let Ok(msg) = waits::recv_bounded(&rx, waits::IDLE_TICK) {
-                        match msg {
-                            MachineMsg::ZStepRequest(request) => {
-                                let updates = solve(machine, shard);
-                                let _ = request.reply.send(ZShardUpdates { machine, updates });
-                            }
-                            MachineMsg::Shutdown => break,
-                            _ => {}
-                        }
-                    }
-                });
-                tx.send(MachineMsg::ZStepRequest(ZStepRequest {
-                    reply: reply_tx.clone(),
-                }))
-                .expect("machine mailbox alive");
-                tx.send(MachineMsg::Shutdown)
-                    .expect("machine mailbox alive");
-            }
-        });
-
-        let mut per_machine: HashMap<usize, Vec<ZUpdate>> = HashMap::with_capacity(machines.len());
-        for _ in 0..machines.len() {
-            // The scope above has joined: every reply is already queued, so
-            // a non-blocking drain suffices (and can never hang).
-            let reply = reply_rx
-                .try_recv()
-                .expect("every machine replied during the scope");
-            per_machine.insert(reply.machine, reply.updates);
-        }
+        let per_machine = run_z_step_threaded(cluster, solve);
         let mut updates = Vec::new();
-        for &machine in &machines {
-            let shard_updates = per_machine.remove(&machine).expect("one reply per machine");
-            // Keep the serving fleet fresh: queries issued from now on see
-            // this machine's post-step codes on every replica.
+        for (&machine, shard_updates) in cluster.topology().machines().iter().zip(per_machine) {
             if !shard_updates.is_empty() {
                 self.fleet
                     .publish_shard_updates(machine, shard_updates.clone());
@@ -2521,7 +2329,7 @@ mod tests {
             }
         }
         assert_eq!(stats.update_visits, 6 * 4 * epochs);
-        assert_eq!(stats.messages_sent, ring_hops(6, 4, epochs));
+        assert_eq!(stats.messages_sent, crate::cost::ring_hops(6, 4, epochs));
     }
 
     #[test]
@@ -2896,12 +2704,11 @@ mod tests {
 
     #[test]
     fn pre_faulted_envelopes_are_routed_around_the_dead_machine() {
-        // Drive run_w_step with envelopes... the backend seeds fresh
-        // envelopes, so exercise the routing at the protocol level instead: a
-        // ring where one machine is never pending still trains the submodel on
-        // the remaining machines (relay hops, no update). Machine 1 is taken
-        // out of the ring (streaming removal) — the route must skip it without
-        // panicking and without updating on it.
+        // The backend seeds fresh envelopes, so exercise the routing at the
+        // ring level instead: machine 1 is taken out of the ring (streaming
+        // removal) — the route must skip it without panicking and without
+        // updating on it, while the remaining machines still train every
+        // submodel.
         let mut cluster = SimCluster::new(shards(3, 9), CostModel::distributed());
         cluster.remove_machine(1);
         let seen = Mutex::new(Vec::new());

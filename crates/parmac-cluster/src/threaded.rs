@@ -1,23 +1,32 @@
-//! Real multi-threaded execution of the ParMAC W step.
+//! Real multi-threaded execution of the ParMAC steps: one OS thread per
+//! machine.
 //!
-//! One OS thread plays the role of each machine; the unidirectional ring is a
-//! set of crossbeam channels; each machine runs the asynchronous loop of §4.1:
-//! *"extract a submodel from the queue, process it (except in epoch e+1) and
-//! send it to the machine's successor ... Each submodel carries a counter"*.
-//! When a submodel finishes its final forwarding lap it is delivered to a
-//! collector channel instead of travelling further, which is the in-process
-//! equivalent of "every machine now holds a copy of the final model".
+//! W step ([`run_w_step_threaded`]): one OS thread plays the role of each
+//! machine; the unidirectional ring is a set of crossbeam channels; each
+//! machine runs the asynchronous loop of §4.1: *"extract a submodel from the
+//! queue, process it (except in epoch e+1) and send it to the machine's
+//! successor ... Each submodel carries a counter"*. When a submodel finishes
+//! its final forwarding lap it is delivered to a collector channel instead of
+//! travelling further, which is the in-process equivalent of "every machine
+//! now holds a copy of the final model".
 //!
-//! The backend is used by `parmac-core`'s ParMAC trainer when real parallelism
-//! (and wall-clock timing on a multicore host) is wanted, and by the test
-//! suite to check that the concurrent protocol computes the same kind of model
-//! as the deterministic simulator.
+//! Z step ([`run_z_step_threaded`]): the paper's "embarrassingly parallel"
+//! step — one scoped thread per machine shard, no communication, results
+//! returned in ring topology order so applying them is bitwise identical to
+//! the serial sweep.
+//!
+//! [`ServerBackend`](crate::server::ServerBackend) trains through both; the
+//! test suite checks that the concurrent protocol computes exactly the model
+//! of the deterministic simulator.
 
+use crate::backend::ZUpdate;
 use crate::cost::{ring_hops, StepTimings, WStepStats};
 use crate::envelope::SubmodelEnvelope;
+use crate::sim::SimCluster;
 use crate::topology::RingTopology;
 use crate::waits;
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
@@ -106,9 +115,9 @@ where
             .expect("seed send");
     }
 
-    let update_visits = std::sync::atomic::AtomicUsize::new(0);
+    let update_visits = AtomicUsize::new(0);
 
-    thread::scope(|scope| {
+    let finished = thread::scope(|scope| {
         for (pos, &machine) in machines.iter().enumerate() {
             let rx = receivers[pos].take().expect("receiver taken once");
             let next_tx = senders[(pos + 1) % p].clone();
@@ -126,7 +135,7 @@ where
                     let updated = env.record_visit(machine, machines_ref, epochs);
                     if updated {
                         update(&mut env.payload, machine, shard);
-                        update_visits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        update_visits.fetch_add(1, Ordering::Relaxed);
                     }
                     if env.is_finished(p, epochs) {
                         done_tx.send(env).expect("collector alive");
@@ -151,30 +160,52 @@ where
             let _ = tx.send(Message::Shutdown);
         }
         finished
-    })
-    .into_iter()
-    .map(|s| s.expect("every submodel collected"))
-    .collect::<Vec<S>>()
-    .pipe(|result| {
-        let msgs = ring_hops(m_total, p, epochs);
-        let stats = WStepStats {
-            timings: StepTimings::default().with_wall_clock(start.elapsed()),
-            messages_sent: msgs,
-            bytes_sent: msgs * params_per_submodel * std::mem::size_of::<f64>(),
-            update_visits: update_visits.load(std::sync::atomic::Ordering::Relaxed),
-        };
-        (result, stats)
-    })
+    });
+
+    let result: Vec<S> = finished
+        .into_iter()
+        .map(|s| s.expect("every submodel collected"))
+        .collect();
+    let msgs = ring_hops(m_total, p, epochs);
+    let stats = WStepStats {
+        timings: StepTimings::default().with_wall_clock(start.elapsed()),
+        messages_sent: msgs,
+        bytes_sent: msgs * params_per_submodel * std::mem::size_of::<f64>(),
+        update_visits: update_visits.load(Ordering::Relaxed),
+    };
+    (result, stats)
 }
 
-/// Tiny pipe helper to keep the statistics assembly readable.
-trait Pipe: Sized {
-    fn pipe<T, F: FnOnce(Self) -> T>(self, f: F) -> T {
-        f(self)
-    }
+/// Runs one Z step shard-parallel: `solve(machine, shard)` on one scoped
+/// thread per machine of the ring (no communication, disjoint shards).
+///
+/// Returns each machine's updates in ring topology order — element `i`
+/// belongs to `cluster.topology().machines()[i]` — so flattening them is
+/// bitwise identical to a serial sweep over the topology.
+///
+/// # Panics
+///
+/// Re-raises a panic from any `solve` call.
+pub fn run_z_step_threaded<F>(cluster: &SimCluster, solve: F) -> Vec<Vec<ZUpdate>>
+where
+    F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
+{
+    thread::scope(|scope| {
+        let handles: Vec<_> = cluster
+            .topology()
+            .machines()
+            .iter()
+            .map(|&machine| {
+                let solve = &solve;
+                scope.spawn(move || solve(machine, cluster.shard(machine)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("Z-step shard thread panicked"))
+            .collect()
+    })
 }
-
-impl<T: Sized> Pipe for T {}
 
 #[cfg(test)]
 mod tests {

@@ -15,14 +15,13 @@
 //! semantics, not the byte layout).
 //!
 //! Channel handles ([`Sender`](crossbeam_channel::Sender)s, `Arc`s) never
-//! serialise; messages that carry them in-process ([`Query`](crate::server::Query),
-//! [`ZStepRequest`](crate::server::ZStepRequest)) have dedicated wire forms
-//! holding only the data ([`WireQuery`]; a Z-step request is just the
-//! requesting rank, so it needs none).
+//! serialise; a message that carries them in-process
+//! ([`Query`](crate::server::Query)) has a dedicated wire form holding only
+//! the data ([`WireQuery`]).
 
 use crate::backend::ZUpdate;
 use crate::envelope::SubmodelEnvelope;
-use crate::server::{QueryReply, ZShardUpdates};
+use crate::server::QueryReply;
 use parmac_hash::BinaryCodes;
 use std::fmt;
 
@@ -425,22 +424,6 @@ impl WireCode for QueryReply {
     }
 }
 
-impl WireCode for ZShardUpdates {
-    const MIN_ENCODED_LEN: usize = 8 + <Vec<ZUpdate>>::MIN_ENCODED_LEN;
-
-    fn encode_wire(&self, buf: &mut Vec<u8>) {
-        self.machine.encode_wire(buf);
-        self.updates.encode_wire(buf);
-    }
-
-    fn decode_wire(bytes: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ZShardUpdates {
-            machine: usize::decode_wire(bytes)?,
-            updates: Vec::decode_wire(bytes)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,7 +438,6 @@ mod tests {
         assert_serde_bounds::<SubmodelEnvelope<Vec<f64>>>();
         assert_serde_bounds::<ZUpdate>();
         assert_serde_bounds::<QueryReply>();
-        assert_serde_bounds::<ZShardUpdates>();
         assert_serde_bounds::<WireQuery>();
         assert_serde_bounds::<BinaryCodes>();
     }
@@ -487,20 +469,17 @@ mod tests {
 
     #[test]
     fn z_update_and_shard_updates_round_trip() {
-        let updates = ZShardUpdates {
-            machine: 2,
-            updates: vec![
-                ZUpdate {
-                    point: 11,
-                    code: vec![0.0, 1.0, 1.0],
-                },
-                ZUpdate {
-                    point: 999,
-                    code: vec![1.0],
-                },
-            ],
-        };
-        round_trip(&updates.updates[0]);
+        let updates = vec![
+            ZUpdate {
+                point: 11,
+                code: vec![0.0, 1.0, 1.0],
+            },
+            ZUpdate {
+                point: 999,
+                code: vec![1.0],
+            },
+        ];
+        round_trip(&updates[0]);
         round_trip(&updates);
     }
 

@@ -57,5 +57,5 @@ pub use mac::{MacReport, MacTrainer};
 pub use mu::MuSchedule;
 pub use nested::{NestedMac, NestedMacConfig};
 pub use parmac::{ParMacReport, ParMacTrainer};
-pub use parmac_cluster::{ClusterBackend, PoolBackend, SimBackend, ThreadedBackend};
+pub use parmac_cluster::{ClusterBackend, PoolBackend, SimBackend};
 pub use speedup::SpeedupModel;

@@ -9,19 +9,20 @@
 //! * [`SimBackend`] — the deterministic synchronous simulator with a
 //!   [`CostModel`](parmac_cluster::CostModel), which also produces the
 //!   simulated runtimes used for the speedup experiments;
-//! * [`ThreadedBackend`](parmac_cluster::ThreadedBackend) — real threads and channels: one thread per machine
-//!   for the W-step ring and one scoped thread per shard for the Z step;
 //! * [`PoolBackend`](parmac_cluster::PoolBackend) — a work-stealing thread
 //!   pool (§8.5's shared-memory configuration): the Z step is split into
 //!   stealable point chunks, the W step drains each machine's submodel queue
 //!   across the local workers;
-//! * [`ServerBackend`](parmac_cluster::ServerBackend) — machines as
-//!   long-lived actors behind typed mailboxes: W-step envelopes routed by
-//!   their own visit lists, the Z step as request/reply exchanges, and a
-//!   resident serving fleet answering Hamming k-NN queries *during* training
-//!   (obtain a [`QueryRouter`](parmac_cluster::QueryRouter) from the backend
-//!   before handing it to the trainer). All four produce bitwise-identical
-//!   models.
+//! * [`ServerBackend`](parmac_cluster::ServerBackend) — real threads and
+//!   channels: one thread per machine for the W-step ring and one scoped
+//!   thread per shard for the Z step, plus a resident serving fleet of
+//!   machine actors answering Hamming k-NN queries *during* training (obtain
+//!   a [`QueryRouter`](parmac_cluster::QueryRouter) from the backend before
+//!   handing it to the trainer);
+//! * [`ProcessBackend`](parmac_cluster::ProcessBackend) — machines as OS
+//!   processes connected by Unix-domain sockets.
+//!
+//! All of them produce bitwise-identical models.
 //!
 //! The trainer contains no backend-specific dispatch; further substrates
 //! (e.g. MPI ranks) plug in by implementing the trait in `parmac-cluster` —
@@ -388,7 +389,7 @@ impl<B: ClusterBackend> ParMacTrainer<B> {
 
     /// One Z step: every machine updates its local coordinates; no
     /// communication. The solves run through the backend (serially on the
-    /// simulator, one thread per shard on the threaded backend, stealable
+    /// simulator, one thread per shard on the server backend, stealable
     /// point chunks on the pool backend) and return the changed codes, which
     /// are applied here in topology order — so the result is bitwise
     /// identical across backends. Returns whether any code changed and the
@@ -594,7 +595,7 @@ mod tests {
     use super::*;
     use crate::config::BaConfig;
     use crate::mac::MacTrainer;
-    use parmac_cluster::{CostModel, ThreadedBackend};
+    use parmac_cluster::{CostModel, ServerBackend};
     use parmac_data::synthetic::{gaussian_mixture, MixtureConfig};
 
     fn dataset(seed: u64, n: usize) -> Mat {
@@ -633,35 +634,32 @@ mod tests {
     }
 
     #[test]
-    fn parmac_threaded_backend_produces_comparable_model() {
+    fn parmac_server_backend_produces_comparable_model() {
         let x = dataset(1, 200);
         let cfg = ParMacConfig::new(quick_ba(6), 4).with_within_machine_shuffling(false);
         let mut sim = ParMacTrainer::new(cfg, &x, SimBackend::new(CostModel::distributed()));
-        let mut thr = ParMacTrainer::new(cfg, &x, ThreadedBackend::new());
+        let mut srv = ParMacTrainer::new(cfg, &x, ServerBackend::new());
         let r_sim = sim.run(&x);
-        let r_thr = thr.run(&x);
-        // Both backends execute the same protocol; the threaded one may apply
-        // updates in a different interleaving across submodels (submodels are
-        // independent), so the final errors should be very close.
-        let rel = (r_sim.mac.final_ba_error - r_thr.mac.final_ba_error).abs()
-            / r_sim.mac.final_ba_error.max(1e-9);
-        assert!(
-            rel < 0.05,
-            "simulated {} vs threaded {}",
-            r_sim.mac.final_ba_error,
-            r_thr.mac.final_ba_error
+        let r_srv = srv.run(&x);
+        // Both backends execute the same protocol: each submodel visits the
+        // machines in the same order, and submodels are independent, so the
+        // cross-submodel interleaving on real threads cannot change the
+        // result.
+        assert_eq!(
+            r_sim.mac.final_ba_error, r_srv.mac.final_ba_error,
+            "simulated vs server"
         );
     }
 
     #[test]
     fn parallel_z_step_is_bitwise_identical_to_serial() {
         // The per-point Z solves are independent, so running them one thread
-        // per shard must give exactly the same codes as the serial sweep —
-        // not just statistically close.
+        // per shard (server) must give exactly the same codes as the serial
+        // sweep (simulator) — not just statistically close.
         let x = dataset(13, 200);
         let cfg = ParMacConfig::new(quick_ba(6), 4);
-        let mut parallel = ParMacTrainer::new(cfg, &x, ThreadedBackend::new());
-        let mut serial = ParMacTrainer::new(cfg, &x, ThreadedBackend::new().with_parallel_z(false));
+        let mut parallel = ParMacTrainer::new(cfg, &x, ServerBackend::new());
+        let mut serial = ParMacTrainer::new(cfg, &x, SimBackend::new(CostModel::distributed()));
 
         parallel.w_step(&x, 0);
         serial.w_step(&x, 0);
@@ -684,9 +682,8 @@ mod tests {
         // bit for bit.
         let x = dataset(14, 160);
         let cfg = ParMacConfig::new(quick_ba(5), 4);
-        let r_par = ParMacTrainer::new(cfg, &x, ThreadedBackend::new()).run(&x);
-        let r_ser =
-            ParMacTrainer::new(cfg, &x, ThreadedBackend::new().with_parallel_z(false)).run(&x);
+        let r_par = ParMacTrainer::new(cfg, &x, ServerBackend::new()).run(&x);
+        let r_ser = ParMacTrainer::new(cfg, &x, SimBackend::new(CostModel::distributed())).run(&x);
         assert_eq!(r_par.mac.final_ba_error, r_ser.mac.final_ba_error);
         assert_eq!(r_par.mac.iterations_run, r_ser.mac.iterations_run);
     }
@@ -846,6 +843,6 @@ mod tests {
     fn more_machines_than_points_rejected() {
         let x = dataset(8, 4);
         let cfg = ParMacConfig::new(quick_ba(4), 8);
-        let _ = ParMacTrainer::new(cfg, &x, ThreadedBackend::new());
+        let _ = ParMacTrainer::new(cfg, &x, SimBackend::new(CostModel::distributed()));
     }
 }

@@ -1,6 +1,7 @@
-//! Five-way backend equivalence matrix: the same training run on
-//! [`SimBackend`], [`ThreadedBackend`], [`PoolBackend`], [`ServerBackend`]
-//! and [`ProcessBackend`] (real OS processes over Unix-domain sockets) must
+//! Four-way backend equivalence matrix: the same training run on
+//! [`SimBackend`], [`PoolBackend`], [`ServerBackend`] (the in-process ring on
+//! real threads) and [`ProcessBackend`] (real OS processes over Unix-domain
+//! sockets) must
 //! produce **bitwise identical** trained weights and codes — not merely
 //! statistically close models. This holds because each submodel's
 //! machine-visit sequence is the same on every backend (seeded round-robin,
@@ -25,7 +26,6 @@
 use parmac_cluster::process::{MachineDownReason, ProcessConfig};
 use parmac_cluster::{
     ClusterBackend, CostModel, PoolBackend, ProcessBackend, ServerBackend, SimBackend,
-    ThreadedBackend,
 };
 use parmac_core::zstep::{self, ZStepProblem};
 use parmac_core::{BaConfig, ParMacConfig, ParMacTrainer};
@@ -81,22 +81,6 @@ fn assert_matrix_identical(cfg: ParMacConfig, x: &Mat, speeds: Option<Vec<f64>>,
         SimBackend::new(CostModel::distributed()),
         speeds.clone(),
     );
-    let threaded = run(
-        cfg,
-        x,
-        ThreadedBackend::new().with_cost_model(CostModel::distributed()),
-        speeds.clone(),
-    );
-    assert_eq!(
-        sim.0, threaded.0,
-        "{label}: encoder weights sim vs threaded"
-    );
-    assert_eq!(
-        sim.1, threaded.1,
-        "{label}: decoder weights sim vs threaded"
-    );
-    assert_eq!(sim.2, threaded.2, "{label}: codes sim vs threaded");
-    assert_eq!(sim.3, threaded.3, "{label}: E_BA sim vs threaded");
     for workers in POOL_WORKERS {
         let pool = run(
             cfg,
@@ -188,16 +172,10 @@ fn distributed_z_sweep_equals_the_serial_mac_sweep_on_every_backend() {
         (t.model().encoder().weights().clone(), t.codes().clone())
     }
 
-    let mut results: Vec<(String, (Mat, BinaryCodes))> = vec![
-        (
-            "sim".into(),
-            one_iteration(cfg, &x, mu, SimBackend::new(CostModel::distributed())),
-        ),
-        (
-            "threaded".into(),
-            one_iteration(cfg, &x, mu, ThreadedBackend::new()),
-        ),
-    ];
+    let mut results: Vec<(String, (Mat, BinaryCodes))> = vec![(
+        "sim".into(),
+        one_iteration(cfg, &x, mu, SimBackend::new(CostModel::distributed())),
+    )];
     for workers in POOL_WORKERS {
         results.push((
             format!("pool({workers})"),
@@ -289,10 +267,6 @@ fn matrix_holds_across_a_mid_training_machine_add_and_remove() {
         SimBackend::new(CostModel::distributed()),
     );
     let others: Vec<(String, _)> = vec![
-        (
-            "threaded".into(),
-            streaming_schedule(cfg, &x_initial, &x_extended, ThreadedBackend::new()),
-        ),
         (
             "pool".into(),
             streaming_schedule(

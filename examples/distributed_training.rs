@@ -1,7 +1,7 @@
 //! Distributed training with ParMAC: the same binary autoencoder trained on
-//! 1, 4 and 16 simulated machines, on the real multi-threaded backend, and on
-//! the work-stealing pool backend (the paper's shared-memory configuration,
-//! §8.5).
+//! 1, 4 and 16 simulated machines, on the real multi-threaded server backend,
+//! and on the work-stealing pool backend (the paper's shared-memory
+//! configuration, §8.5).
 //!
 //! Demonstrates the properties §4–5 of the paper emphasise: only model
 //! parameters are communicated (bytes reported), simulated runtime shrinks
@@ -10,11 +10,9 @@
 //!
 //! Run with `cargo run --release --example distributed_training`.
 
-use parmac::cluster::CostModel;
+use parmac::cluster::{CostModel, ServerBackend};
 use parmac::core::mac::RetrievalEval;
-use parmac::core::{
-    BaConfig, ParMacConfig, ParMacTrainer, PoolBackend, SimBackend, SpeedupModel, ThreadedBackend,
-};
+use parmac::core::{BaConfig, ParMacConfig, ParMacTrainer, PoolBackend, SimBackend, SpeedupModel};
 use parmac::data::synthetic::{gaussian_mixture, MixtureConfig};
 
 fn main() {
@@ -58,12 +56,12 @@ fn main() {
 
     // The same run on real threads (one per machine): wall-clock parallelism.
     let cfg = ParMacConfig::new(ba, 4);
-    let mut threaded = ParMacTrainer::new(cfg, &train, ThreadedBackend::new());
-    let report = threaded.run_with_eval(&train, Some(&eval));
+    let mut server = ParMacTrainer::new(cfg, &train, ServerBackend::new());
+    let report = server.run_with_eval(&train, Some(&eval));
     println!(
-        "\nthreaded backend (4 OS threads): {:.2}s wall clock, precision {:.3}",
+        "\nserver backend (4 OS threads): {:.2}s wall clock, precision {:.3}",
         report.total_wall_clock_secs,
-        eval.precision_of(threaded.model())
+        eval.precision_of(server.model())
     );
 
     // And on the work-stealing pool (§8.5's shared-memory configuration):
@@ -80,7 +78,7 @@ fn main() {
     );
     assert_eq!(
         pool.model().encoder().weights(),
-        threaded.model().encoder().weights(),
-        "pool and threaded backends must train the identical model"
+        server.model().encoder().weights(),
+        "pool and server backends must train the identical model"
     );
 }

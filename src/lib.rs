@@ -15,8 +15,9 @@
 //! * [`linalg`] — dense matrices, Cholesky, PCA.
 //! * [`data`] — synthetic feature datasets, partitioning, minibatches.
 //! * [`optim`] — SGD, linear SVM, ridge/logistic regression, RBF features.
-//! * [`cluster`] — ring-topology cluster backends: simulator, threaded, and
-//!   the work-stealing pool.
+//! * [`cluster`] — ring-topology cluster backends: simulator, work-stealing
+//!   pool, sharded server (training plus Hamming k-NN serving) and
+//!   multi-process.
 //! * [`hash`] — binary codes, hash encoders/decoders, tPCA and ITQ baselines.
 //! * [`retrieval`] — ground truth, Hamming search, precision/recall metrics.
 //! * [`core`] — MAC, ParMAC, the K-layer nested-model MAC and the theoretical

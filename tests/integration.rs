@@ -2,11 +2,10 @@
 //! through MAC/ParMAC training to retrieval evaluation, exercised through the
 //! public facade crate exactly as a downstream user would.
 
-use parmac::cluster::{CostModel, Fault};
+use parmac::cluster::{CostModel, Fault, ServerBackend};
 use parmac::core::mac::RetrievalEval;
 use parmac::core::{
-    BaConfig, MacTrainer, ParMacConfig, ParMacTrainer, SimBackend, SpeedupModel, ThreadedBackend,
-    ZStepMethod,
+    BaConfig, MacTrainer, ParMacConfig, ParMacTrainer, SimBackend, SpeedupModel, ZStepMethod,
 };
 use parmac::data::synthetic::{gaussian_mixture, MixtureConfig};
 use parmac::hash::TpcaHash;
@@ -65,20 +64,20 @@ fn parmac_simulated_matches_serial_quality() {
 }
 
 #[test]
-fn parmac_threaded_and_simulated_backends_agree() {
+fn parmac_server_and_simulated_backends_agree() {
     let (train, _) = dataset(300, 12, 2);
     let cfg = ParMacConfig::new(ba_config(6, 2), 3).with_within_machine_shuffling(false);
     let mut sim = ParMacTrainer::new(cfg, &train, SimBackend::new(CostModel::distributed()));
-    let mut thr = ParMacTrainer::new(cfg, &train, ThreadedBackend::new());
+    let mut srv = ParMacTrainer::new(cfg, &train, ServerBackend::new());
     let r_sim = sim.run(&train);
-    let r_thr = thr.run(&train);
+    let r_srv = srv.run(&train);
     // Same protocol, same deterministic update order per submodel → same model.
-    let diff = (r_sim.mac.final_ba_error - r_thr.mac.final_ba_error).abs();
+    let diff = (r_sim.mac.final_ba_error - r_srv.mac.final_ba_error).abs();
     assert!(
         diff / r_sim.mac.final_ba_error.max(1.0) < 1e-9,
-        "simulated {} vs threaded {}",
+        "simulated {} vs server {}",
         r_sim.mac.final_ba_error,
-        r_thr.mac.final_ba_error
+        r_srv.mac.final_ba_error
     );
 }
 
